@@ -28,6 +28,7 @@
 
 pub mod balance;
 pub mod config;
+mod deadline;
 pub mod events;
 pub mod messages;
 pub mod scan;

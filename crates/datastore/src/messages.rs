@@ -83,20 +83,12 @@ pub enum DsMsg {
         /// arrive out of order).
         hop: u32,
     },
-    /// Timer guarding a scan hand-off: fires if the successor never
-    /// acknowledged.
-    ScanForwardTimeout {
-        /// Query identity.
-        query: QueryId,
-        /// The successor the step was forwarded to.
-        target: PeerId,
-        /// The forwarding peer's hop counter for this forward. Two forwards
-        /// of the same query (a scan that revisits the peer) share the same
-        /// target and starting attempt; the hop pins the guard to its own.
-        hop: u32,
-        /// Retry attempt the guard belongs to.
-        attempt: usize,
-    },
+    /// The peer's scan hand-off timer: fires at the earliest deadline of
+    /// the forwards still awaiting their successor's acknowledgement, which
+    /// are then retried or given up. One timer per peer guards all of its
+    /// outstanding forwards (they share one timeout, so deadlines arrive in
+    /// send order).
+    ScanForwardTimeout,
     /// The first peer of a scan rejected it because the query's lower bound
     /// is not in its range (stale routing); the origin should re-route.
     ScanRejected {
@@ -140,6 +132,10 @@ pub enum DsMsg {
         /// Query identity.
         query: QueryId,
     },
+    /// The issuer's query timer: fires at the earliest safety-net deadline
+    /// of the queries issued here, which are then finalized with whatever
+    /// was collected. One timer per peer guards all of its open queries.
+    QueryDeadline,
 
     // ---- storage balance: split --------------------------------------------
     /// Hand-off of the upper half of a splitting peer's range to the freshly
@@ -281,12 +277,13 @@ impl DsMsg {
             DsMsg::NotResponsible { .. } => "NotResponsible",
             DsMsg::ScanStep { .. } => "ScanStep",
             DsMsg::ScanStepAck { .. } => "ScanStepAck",
-            DsMsg::ScanForwardTimeout { .. } => "ScanForwardTimeout",
+            DsMsg::ScanForwardTimeout => "ScanForwardTimeout",
             DsMsg::ScanRejected { .. } => "ScanRejected",
             DsMsg::NaiveScanStep { .. } => "NaiveScanStep",
             DsMsg::ScanResult { .. } => "ScanResult",
             DsMsg::ScanDone { .. } => "ScanDone",
             DsMsg::ScanFailed { .. } => "ScanFailed",
+            DsMsg::QueryDeadline => "QueryDeadline",
             DsMsg::HandoffInstall { .. } => "HandoffInstall",
             DsMsg::HandoffAck => "HandoffAck",
             DsMsg::MergeRequest { .. } => "MergeRequest",

@@ -21,7 +21,7 @@ use pepper_types::{Item, KeyInterval, PeerId};
 
 use crate::events::DsEvent;
 use crate::messages::{DsMsg, QueryId};
-use crate::state::{DataStoreState, DsStatus, PendingForward};
+use crate::state::{DataStoreState, DsStatus, PendingForward, QueryProgress};
 
 /// Hard cap on scan length, guarding against routing loops in badly
 /// inconsistent (naive) rings.
@@ -124,23 +124,20 @@ impl DataStoreState {
                         hop: hop + 1,
                     },
                 );
-                self.pending_forwards
-                    .entry(query)
-                    .or_default()
-                    .push(PendingForward {
-                        target: succ,
-                        interval,
-                        hop,
-                        attempt: 1,
-                    });
-                fx.timer(
+                self.pending_forwards.push(
+                    ctx.now,
                     self.cfg.scan_forward_timeout,
-                    DsMsg::ScanForwardTimeout {
+                    (
                         query,
-                        target: succ,
-                        hop,
-                        attempt: 1,
-                    },
+                        PendingForward {
+                            target: succ,
+                            interval,
+                            hop,
+                            attempt: 1,
+                        },
+                    ),
+                    fx,
+                    DsMsg::ScanForwardTimeout,
                 );
             }
             _ => {
@@ -162,20 +159,28 @@ impl DataStoreState {
         ack_hop: u32,
         fx: &mut Effects<DsMsg>,
     ) {
-        if let Some(pending) = self.pending_forwards.get_mut(&query) {
-            let Some(idx) = pending.iter().position(|p| p.hop + 1 == ack_hop) else {
-                return;
-            };
-            pending.remove(idx);
-            if pending.is_empty() {
-                self.pending_forwards.remove(&query);
-            }
+        if self
+            .pending_forwards
+            .remove_first(|(q, p)| *q == query && p.hop + 1 == ack_hop)
+            .is_some()
+        {
             self.release_scan_lock(ctx, fx);
         }
     }
 
-    /// The successor did not acknowledge in time: retry via the (possibly
-    /// new) successor or give up.
+    /// The peer's forward timer fired: time out every hand-off due by now,
+    /// then re-arm at the oldest one still unacknowledged.
+    pub(crate) fn on_scan_forward_timer(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+        while let Some((query, p)) = self.pending_forwards.due(ctx.now) {
+            self.on_scan_forward_timeout(ctx, query, p.target, p.hop, p.attempt, fx);
+        }
+        self.pending_forwards
+            .rearm(ctx.now, fx, DsMsg::ScanForwardTimeout);
+    }
+
+    /// A hand-off was not acknowledged in time: retry via the (possibly
+    /// new) successor or give up. A guard whose attempt has since been
+    /// acknowledged or superseded is ignored.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_scan_forward_timeout(
         &mut self,
@@ -186,17 +191,13 @@ impl DataStoreState {
         attempt: usize,
         fx: &mut Effects<DsMsg>,
     ) {
-        let Some(pending) = self.pending_forwards.get(&query) else {
-            return;
-        };
-        let Some(idx) = pending
-            .iter()
-            .position(|p| p.target == target && p.hop == guard_hop && p.attempt == attempt)
+        let Some((_, PendingForward { interval, hop, .. })) =
+            self.pending_forwards.remove_first(|(q, p)| {
+                *q == query && p.target == target && p.hop == guard_hop && p.attempt == attempt
+            })
         else {
             return; // superseded
         };
-        let (interval, hop) = (pending[idx].interval, pending[idx].hop);
-        let next_attempt = attempt + 1;
         let retry_target = match self.succ {
             Some((succ, _)) if succ != self.id => Some(succ),
             _ => None,
@@ -212,28 +213,23 @@ impl DataStoreState {
                         hop: hop + 1,
                     },
                 );
-                self.pending_forwards.get_mut(&query).expect("present")[idx] = PendingForward {
-                    target: succ,
-                    interval,
-                    hop,
-                    attempt: next_attempt,
-                };
-                fx.timer(
+                self.pending_forwards.push(
+                    ctx.now,
                     self.cfg.scan_forward_timeout,
-                    DsMsg::ScanForwardTimeout {
+                    (
                         query,
-                        target: succ,
-                        hop,
-                        attempt: next_attempt,
-                    },
+                        PendingForward {
+                            target: succ,
+                            interval,
+                            hop,
+                            attempt: attempt + 1,
+                        },
+                    ),
+                    fx,
+                    DsMsg::ScanForwardTimeout,
                 );
             }
             _ => {
-                let pending = self.pending_forwards.get_mut(&query).expect("present");
-                pending.remove(idx);
-                if pending.is_empty() {
-                    self.pending_forwards.remove(&query);
-                }
                 fx.send(query.origin, DsMsg::ScanFailed { query });
                 self.release_scan_lock(ctx, fx);
             }
@@ -299,7 +295,8 @@ impl DataStoreState {
         }
     }
 
-    /// Partial result arriving at the query origin.
+    /// Partial result arriving at the query origin. The dispatcher then
+    /// finalizes the query if this was the last result it waited for.
     pub(crate) fn on_scan_result(
         &mut self,
         query: QueryId,
@@ -307,19 +304,39 @@ impl DataStoreState {
         covered: Vec<KeyInterval>,
         hop: u32,
     ) {
-        if let Some(progress) = self.queries.get_mut(&query) {
-            progress.items.extend(items);
-            progress.covered.extend(covered);
-            progress.hops = progress.hops.max(hop);
+        let Some(progress) = self.queries.get_mut(&query) else {
+            return;
+        };
+        progress.items.extend(items);
+        progress.covered.extend(covered);
+        progress.hops = progress.hops.max(hop);
+        let hop = hop as usize;
+        if progress.reported.len() <= hop {
+            progress.reported.resize(hop + 1, false);
         }
+        progress.reported[hop] = true;
     }
 
-    /// Scan completion arriving at the query origin.
+    /// Scan completion arriving at the query origin: the query is finalized
+    /// once every hop up to `hops` has reported. Results still in flight on
+    /// other channels are waited for; the query deadline bounds the wait.
     pub(crate) fn on_scan_done(&mut self, ctx: LayerCtx, query: QueryId, hops: u32) {
         if let Some(progress) = self.queries.get_mut(&query) {
             progress.hops = progress.hops.max(hops);
+            progress.done_at = Some(progress.done_at.map_or(hops, |d| d.min(hops)));
         }
-        self.finalize_query(ctx, query);
+        self.finalize_if_all_results_in(ctx, query);
+    }
+
+    /// Finalizes `query` if its scan has ended and every hop has reported.
+    pub(crate) fn finalize_if_all_results_in(&mut self, ctx: LayerCtx, query: QueryId) {
+        if self
+            .queries
+            .get(&query)
+            .is_some_and(QueryProgress::all_results_in)
+        {
+            self.finalize_query(ctx, query);
+        }
     }
 }
 
@@ -329,10 +346,70 @@ mod tests {
     use crate::config::DsConfig;
     use crate::state::DeferredWrite;
     use pepper_net::{Effect, ProtocolLayer, SimTime};
-    use pepper_types::{CircularRange, PeerValue, SearchKey};
+    use pepper_types::{CircularRange, PeerValue, RangeQuery, SearchKey};
+    use std::time::Duration;
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))
+    }
+
+    /// Peer `id`'s context `ms` milliseconds after [`ctx`]'s instant.
+    fn ctx_at(id: u64, ms: u64) -> LayerCtx {
+        LayerCtx::new(PeerId(id), SimTime::from_millis(1000 + ms))
+    }
+
+    /// Delivers `msg` to `p` through the layer's dispatch and returns the
+    /// effects it requested.
+    fn deliver(p: &mut DataStoreState, ctx: LayerCtx, msg: DsMsg) -> Vec<Effect<DsMsg>> {
+        let mut fx = Effects::new();
+        p.handle(ctx, ctx.self_id, msg, &mut fx);
+        fx.drain()
+    }
+
+    /// The delays of the timers among `effects`.
+    fn timer_delays(effects: &[Effect<DsMsg>]) -> Vec<Duration> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Timer { delay, .. } => Some(*delay),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The queries of the scan steps among `effects`, in order.
+    fn forwarded_queries(effects: &[Effect<DsMsg>]) -> Vec<QueryId> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    msg: DsMsg::ScanStep { query, .. },
+                    ..
+                } => Some(*query),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn completions(p: &mut DataStoreState) -> Vec<(QueryId, Vec<u64>, Duration, bool)> {
+        p.drain_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                DsEvent::QueryCompleted {
+                    query,
+                    items,
+                    elapsed,
+                    complete,
+                    ..
+                } => Some((
+                    query,
+                    items.iter().map(|i| i.skv.raw()).collect(),
+                    elapsed,
+                    complete,
+                )),
+                _ => None,
+            })
+            .collect()
     }
 
     fn item(k: u64) -> Item {
@@ -411,19 +488,23 @@ mod tests {
             Effect::Send { to, msg: DsMsg::ScanStep { prev: Some(prev), hop: 1, .. } }
                 if *to == PeerId(2) && *prev == PeerId(1)
         )));
-        // A hand-off timeout guard was armed and the lock is still held.
+        // The peer's hand-off guard was armed for this forward's deadline
+        // and the lock is still held.
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Timer {
-                msg: DsMsg::ScanForwardTimeout { .. },
-                ..
-            }
+                delay,
+                msg: DsMsg::ScanForwardTimeout,
+            } if *delay == p.config().scan_forward_timeout
         )));
+        assert_eq!(p.pending_forwards.len(), 1);
         assert_eq!(p.scan_locks(), 1);
 
-        // The successor acknowledges: the lock is released.
+        // The successor acknowledges: the lock is released and the settled
+        // deadline leaves the guard's queue.
         p.on_scan_step_ack(ctx(1), qid(9, 3), 1, &mut fx);
         assert_eq!(p.scan_locks(), 0);
+        assert_eq!(p.pending_forwards.len(), 0);
     }
 
     #[test]
@@ -522,25 +603,95 @@ mod tests {
         // First timeout: the successor has changed (failure handled by the
         // ring); the scan is re-forwarded to the new successor.
         p.set_successor(PeerId(3), PeerValue(100));
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(2), 0, 1, &mut fx);
-        let effects = fx.drain();
+        let effects = deliver(&mut p, ctx_at(1, 50), DsMsg::ScanForwardTimeout);
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::ScanStep { .. } } if *to == PeerId(3)
         )));
+        assert_eq!(timer_delays(&effects), vec![Duration::from_millis(50)]);
         assert_eq!(p.scan_locks(), 1);
 
         // Exhausting the retries reports failure and releases the lock.
-        p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(3), 0, 2, &mut fx);
-        let effects = fx.drain();
+        let effects = deliver(&mut p, ctx_at(1, 100), DsMsg::ScanForwardTimeout);
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: DsMsg::ScanFailed { .. } } if *to == PeerId(9)
         )));
+        assert!(timer_delays(&effects).is_empty());
         assert_eq!(p.scan_locks(), 0);
 
         // A stale timeout afterwards is ignored.
         p.on_scan_forward_timeout(ctx(1), qid(9, 0), PeerId(3), 0, 2, &mut fx);
+        assert_eq!(p.scan_locks(), 0);
+    }
+
+    #[test]
+    fn many_outstanding_forwards_arm_one_timer() {
+        let mut p = live_peer(1, 0, 50, &[10]);
+        p.set_successor(PeerId(2), PeerValue(100));
+        let interval = KeyInterval::new(5, 90).unwrap();
+        let mut timers = Vec::new();
+        for seq in 0..20 {
+            let mut fx = Effects::new();
+            p.on_scan_step(ctx_at(1, seq), qid(9, seq), interval, None, 0, &mut fx);
+            timers.extend(timer_delays(&fx.drain()));
+        }
+        assert_eq!(timers, vec![p.config().scan_forward_timeout]);
+        assert_eq!(p.pending_forwards.len(), 20);
+        assert_eq!(p.scan_locks(), 20);
+    }
+
+    #[test]
+    fn expired_forwards_retry_at_their_own_deadlines_in_send_order() {
+        // Timeout 50 ms; forwards sent at +0, +10 and +20 ms expire at +50,
+        // +60 and +70 ms, one per fire, and each fire re-arms at the next.
+        let mut p = live_peer(1, 0, 50, &[10]);
+        p.set_successor(PeerId(2), PeerValue(100));
+        let interval = KeyInterval::new(5, 90).unwrap();
+        for seq in 0..3 {
+            let mut fx = Effects::new();
+            p.on_scan_step(ctx_at(1, seq * 10), qid(9, seq), interval, None, 0, &mut fx);
+        }
+        let fire =
+            |p: &mut DataStoreState, ms| deliver(p, ctx_at(1, ms), DsMsg::ScanForwardTimeout);
+
+        let effects = fire(&mut p, 50);
+        assert_eq!(forwarded_queries(&effects), vec![qid(9, 0)]);
+        assert_eq!(timer_delays(&effects), vec![Duration::from_millis(10)]);
+        let effects = fire(&mut p, 60);
+        assert_eq!(forwarded_queries(&effects), vec![qid(9, 1)]);
+        assert_eq!(timer_delays(&effects), vec![Duration::from_millis(10)]);
+        let effects = fire(&mut p, 70);
+        assert_eq!(forwarded_queries(&effects), vec![qid(9, 2)]);
+        // Next up: the first retry, re-sent at +50 ms, due at +100 ms.
+        assert_eq!(timer_delays(&effects), vec![Duration::from_millis(30)]);
+        assert_eq!(p.scan_locks(), 3);
+    }
+
+    #[test]
+    fn acked_forward_is_never_retried() {
+        let mut p = live_peer(1, 0, 50, &[10]);
+        p.set_successor(PeerId(2), PeerValue(100));
+        let interval = KeyInterval::new(5, 90).unwrap();
+        let mut fx = Effects::new();
+        p.on_scan_step(ctx_at(1, 0), qid(9, 0), interval, None, 0, &mut fx);
+        p.on_scan_step(ctx_at(1, 20), qid(9, 1), interval, None, 0, &mut fx);
+        p.on_scan_step_ack(ctx_at(1, 30), qid(9, 0), 1, &mut fx);
+        fx.drain();
+
+        // The fire at the acked forward's deadline only re-arms at the
+        // other forward's deadline.
+        let effects = deliver(&mut p, ctx_at(1, 50), DsMsg::ScanForwardTimeout);
+        assert!(forwarded_queries(&effects).is_empty());
+        assert_eq!(timer_delays(&effects), vec![Duration::from_millis(20)]);
+        let effects = deliver(&mut p, ctx_at(1, 70), DsMsg::ScanForwardTimeout);
+        assert_eq!(forwarded_queries(&effects), vec![qid(9, 1)]);
+
+        // Once everything is acked, a fire finds nothing and arms nothing.
+        p.on_scan_step_ack(ctx_at(1, 80), qid(9, 1), 1, &mut fx);
+        let effects = deliver(&mut p, ctx_at(1, 120), DsMsg::ScanForwardTimeout);
+        assert!(effects.is_empty());
+        assert_eq!(p.pending_forwards.len(), 0);
         assert_eq!(p.scan_locks(), 0);
     }
 
@@ -736,14 +887,21 @@ mod tests {
                 &mut fx,
             )
             .unwrap();
+        // Every hop reports, but the hops jointly skip (30, 45) — a naive
+        // scan over an inconsistent ring: completeness is false.
         issuer.on_scan_result(
             id,
             vec![item(15)],
             vec![KeyInterval::new(10, 30).unwrap()],
             0,
         );
-        // The scan "finished" but a sub-range was skipped (naive scan over an
-        // inconsistent ring): completeness is false.
+        issuer.on_scan_result(id, vec![], vec![], 1);
+        issuer.on_scan_result(
+            id,
+            vec![item(50)],
+            vec![KeyInterval::new(45, 60).unwrap()],
+            2,
+        );
         issuer.on_scan_done(ctx(9), id, 2);
         assert!(issuer.drain_events().iter().any(|e| matches!(
             e,
@@ -752,6 +910,121 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn scan_done_overtaking_a_result_waits_for_it() {
+        // Each hop reports on its own channel, so the last hop's ScanDone
+        // can arrive before hop 1's result. The query must complete only
+        // once that result is in, with its items and full coverage.
+        let mut issuer = live_peer(9, 0, 100, &[]);
+        let mut fx = Effects::new();
+        let (id, _) = issuer
+            .register_query(ctx(9), RangeQuery::closed(10u64, 60u64), &mut fx)
+            .unwrap();
+        let result = |lo, hi, key, hop| DsMsg::ScanResult {
+            query: id,
+            items: vec![item(key)],
+            covered: vec![KeyInterval::new(lo, hi).unwrap()],
+            hop,
+        };
+        deliver(&mut issuer, ctx_at(9, 1), result(10, 30, 15, 0));
+        deliver(&mut issuer, ctx_at(9, 2), result(51, 60, 55, 2));
+        deliver(
+            &mut issuer,
+            ctx_at(9, 3),
+            DsMsg::ScanDone { query: id, hops: 2 },
+        );
+        assert!(completions(&mut issuer).is_empty());
+        assert_eq!(issuer.open_queries(), 1);
+
+        deliver(&mut issuer, ctx_at(9, 4), result(31, 50, 40, 1));
+        let done = completions(&mut issuer);
+        assert_eq!(done.len(), 1);
+        let (query, items, _, complete) = &done[0];
+        assert_eq!(*query, id);
+        assert_eq!(items, &vec![15, 40, 55]);
+        assert!(complete);
+        assert_eq!(issuer.open_queries(), 0);
+    }
+
+    #[test]
+    fn unanswered_query_is_finalized_incomplete_at_its_deadline() {
+        let mut issuer = live_peer(9, 0, 100, &[]);
+        let timeout = issuer.config().query_timeout();
+        let mut fx = Effects::new();
+        let (id, _) = issuer
+            .register_query(ctx(9), RangeQuery::closed(10u64, 60u64), &mut fx)
+            .unwrap();
+        assert_eq!(timer_delays(&fx.drain()), vec![timeout]);
+        // A later query shares the armed timer.
+        issuer
+            .register_query(ctx_at(9, 5), RangeQuery::closed(10u64, 60u64), &mut fx)
+            .unwrap();
+        assert!(fx.drain().is_empty());
+        // Only the first query has reported (and never will complete).
+        deliver(
+            &mut issuer,
+            ctx_at(9, 1),
+            DsMsg::ScanResult {
+                query: id,
+                items: vec![item(15)],
+                covered: vec![KeyInterval::new(10, 30).unwrap()],
+                hop: 0,
+            },
+        );
+
+        let deadline = ctx(9).now + timeout;
+        let fire = LayerCtx::new(PeerId(9), deadline);
+        let effects = deliver(&mut issuer, fire, DsMsg::QueryDeadline);
+        assert_eq!(
+            completions(&mut issuer),
+            vec![(id, vec![15], timeout, false)]
+        );
+        // Re-armed for the second query's deadline, 5 ms later.
+        assert_eq!(timer_delays(&effects), vec![Duration::from_millis(5)]);
+        assert_eq!(issuer.open_queries(), 1);
+    }
+
+    #[test]
+    fn completed_query_leaves_no_timer_behind() {
+        let mut issuer = live_peer(9, 0, 100, &[]);
+        let mut fx = Effects::new();
+        let ids: Vec<QueryId> = (0..3)
+            .map(|i| {
+                issuer
+                    .register_query(ctx_at(9, i), RangeQuery::closed(10u64, 60u64), &mut fx)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        assert_eq!(timer_delays(&fx.drain()).len(), 1);
+        // Complete them out of issue order.
+        for &id in ids.iter().rev() {
+            deliver(
+                &mut issuer,
+                ctx_at(9, 10),
+                DsMsg::ScanResult {
+                    query: id,
+                    items: vec![],
+                    covered: vec![KeyInterval::new(10, 60).unwrap()],
+                    hop: 0,
+                },
+            );
+            deliver(
+                &mut issuer,
+                ctx_at(9, 11),
+                DsMsg::ScanDone { query: id, hops: 0 },
+            );
+        }
+        assert_eq!(completions(&mut issuer).len(), 3);
+        assert_eq!(issuer.query_deadlines.len(), 0);
+
+        // The timer armed for the first query fires, finds nothing due and
+        // arms nothing.
+        let fire = LayerCtx::new(PeerId(9), ctx(9).now + issuer.config().query_timeout());
+        assert!(deliver(&mut issuer, fire, DsMsg::QueryDeadline).is_empty());
+        assert!(completions(&mut issuer).is_empty());
     }
 
     #[test]

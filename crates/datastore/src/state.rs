@@ -8,6 +8,7 @@ use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
 use pepper_types::{CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery};
 
 use crate::config::DsConfig;
+use crate::deadline::DeadlineQueue;
 use crate::events::DsEvent;
 use crate::messages::{DsMsg, QueryId};
 use crate::store::ItemStore;
@@ -74,7 +75,7 @@ pub(crate) enum DeferredWrite {
 }
 
 /// Bookkeeping for a scan hand-off awaiting the successor's acknowledgement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingForward {
     pub target: PeerId,
     pub interval: KeyInterval,
@@ -133,6 +134,23 @@ pub struct QueryProgress {
     pub pepper: bool,
     /// How many times the scan start has been rejected and re-routed.
     pub reroutes: u32,
+    /// Which hops have reported their result, indexed by hop.
+    pub reported: Vec<bool>,
+    /// The last hop, once the scan's completion has been announced.
+    pub done_at: Option<u32>,
+}
+
+impl QueryProgress {
+    /// Whether the scan has announced its last hop and every hop up to it
+    /// has reported. Each hop reports on its own channel, so the
+    /// announcement can overtake earlier hops' results.
+    pub(crate) fn all_results_in(&self) -> bool {
+        self.done_at.is_some_and(|last| {
+            self.reported
+                .get(..=last as usize)
+                .is_some_and(|hops| hops.iter().all(|&r| r))
+        })
+    }
 }
 
 /// The per-peer Data Store state machine.
@@ -147,13 +165,14 @@ pub struct DataStoreState {
     // scan locking
     pub(crate) scan_locks: usize,
     pub(crate) deferred: Vec<DeferredWrite>,
-    /// Outstanding scan hand-offs per query. A list, not a single slot: a
+    /// Outstanding scan hand-offs in deadline order, behind one timer. A
     /// scan can visit the same peer twice (wrap-around over a degenerate
-    /// ring), and each visit holds its own range lock until its own ack —
-    /// overwriting the first hand-off would leak its lock forever.
-    pub(crate) pending_forwards: HashMap<QueryId, Vec<PendingForward>>,
+    /// ring), and each visit holds its own range lock until its own ack.
+    pub(crate) pending_forwards: DeadlineQueue<(QueryId, PendingForward)>,
     // queries issued at this peer
     pub(crate) queries: HashMap<QueryId, QueryProgress>,
+    /// Safety-net deadlines of the open queries, behind one timer.
+    pub(crate) query_deadlines: DeadlineQueue<QueryId>,
     pub(crate) next_query_seq: u64,
     // rebalance bookkeeping
     pub(crate) rebalancing: bool,
@@ -197,8 +216,9 @@ impl DataStoreState {
             succ: None,
             scan_locks: 0,
             deferred: Vec::new(),
-            pending_forwards: HashMap::new(),
+            pending_forwards: DeadlineQueue::default(),
             queries: HashMap::new(),
+            query_deadlines: DeadlineQueue::default(),
             next_query_seq: 0,
             rebalancing: false,
             merge_give_to: None,
@@ -225,8 +245,9 @@ impl DataStoreState {
             succ: None,
             scan_locks: 0,
             deferred: Vec::new(),
-            pending_forwards: HashMap::new(),
+            pending_forwards: DeadlineQueue::default(),
             queries: HashMap::new(),
+            query_deadlines: DeadlineQueue::default(),
             next_query_seq: 0,
             rebalancing: false,
             merge_give_to: None,
@@ -577,14 +598,33 @@ impl DataStoreState {
                 hops: 0,
                 pepper: self.cfg.pepper_scan,
                 reroutes: 0,
+                reported: Vec::new(),
+                done_at: None,
             },
         );
         // Safety net: finalize the query even if the scan dies somewhere.
-        fx.timer(self.cfg.query_timeout(), DsMsg::ScanFailed { query: id });
+        self.query_deadlines.push(
+            ctx.now,
+            self.cfg.query_timeout(),
+            id,
+            fx,
+            DsMsg::QueryDeadline,
+        );
         Some((id, interval))
     }
 
+    /// The peer's query timer fired: finalize every query whose deadline
+    /// has passed, then re-arm at the oldest one still open.
+    fn on_query_deadline(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+        while let Some(query) = self.query_deadlines.due(ctx.now) {
+            self.finalize_query(ctx, query);
+        }
+        self.query_deadlines
+            .rearm(ctx.now, fx, DsMsg::QueryDeadline);
+    }
+
     pub(crate) fn finalize_query(&mut self, ctx: LayerCtx, query: QueryId) {
+        self.query_deadlines.remove_first(|q| *q == query);
         let Some(progress) = self.queries.remove(&query) else {
             return;
         };
@@ -632,12 +672,7 @@ impl DataStoreState {
                 hop,
             } => self.on_scan_step(ctx, query, interval, prev, hop, fx),
             DsMsg::ScanStepAck { query, hop } => self.on_scan_step_ack(ctx, query, hop, fx),
-            DsMsg::ScanForwardTimeout {
-                query,
-                target,
-                hop,
-                attempt,
-            } => self.on_scan_forward_timeout(ctx, query, target, hop, attempt, fx),
+            DsMsg::ScanForwardTimeout => self.on_scan_forward_timer(ctx, fx),
             DsMsg::ScanRejected { query } => self.on_scan_rejected(ctx, query),
             DsMsg::NaiveScanStep {
                 query,
@@ -649,9 +684,13 @@ impl DataStoreState {
                 items,
                 covered,
                 hop,
-            } => self.on_scan_result(query, items, covered, hop),
+            } => {
+                self.on_scan_result(query, items, covered, hop);
+                self.finalize_if_all_results_in(ctx, query);
+            }
             DsMsg::ScanDone { query, hops } => self.on_scan_done(ctx, query, hops),
             DsMsg::ScanFailed { query } => self.finalize_query(ctx, query),
+            DsMsg::QueryDeadline => self.on_query_deadline(ctx, fx),
 
             DsMsg::HandoffInstall { range, items } => {
                 self.on_handoff_install(ctx, from, range, items, fx)

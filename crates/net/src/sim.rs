@@ -107,8 +107,12 @@ enum Payload<M> {
 ///
 /// Effects requested through the context are scheduled by the simulator after
 /// the handler returns. The backing buffer is a scratch vector owned by the
-/// simulator and reused across deliveries, so handling an event allocates
-/// nothing once the buffer has warmed up.
+/// simulator and reused across deliveries, so the simulator itself allocates
+/// nothing per event once the buffer has warmed up. Handlers may: a composed
+/// peer (`PeerNode::on_message` with `LayerSlot::with`) builds an
+/// intermediate effect `Vec` and an event `Vec` per dispatch, about two
+/// allocations per event on a 512-member ring. Removing both measured within
+/// noise, so they stay.
 pub struct Context<'a, M> {
     self_id: PeerId,
     now: SimTime,
