@@ -1,7 +1,8 @@
 //! The Data Store state machine: storage, range locking, item insertion and
 //! deletion, and the top-level message dispatch.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
@@ -305,6 +306,13 @@ impl DataStoreState {
     /// The items stored at this peer together with their mapped values.
     pub fn local_items_mapped(&self) -> Vec<(u64, Item)> {
         self.store.to_vec()
+    }
+
+    /// A shared, immutable snapshot of the items stored at this peer, keyed
+    /// by mapped value (see [`ItemStore::snapshot`]): what a replica refresh
+    /// hands to every target without copying an item.
+    pub fn items_snapshot(&self) -> Arc<BTreeMap<u64, Item>> {
+        self.store.snapshot()
     }
 
     /// The Data Store configuration.

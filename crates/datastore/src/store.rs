@@ -3,15 +3,21 @@
 //! Items are keyed by their *mapped* value `M(i.skv)` so that range
 //! operations (collecting the items of a scan sub-range, finding a split
 //! point, handing off a sub-range) are cheap ordered-map operations.
+//!
+//! The map is held copy-on-write so that a replica refresh can hand every
+//! target the same immutable snapshot ([`ItemStore::snapshot`]) without
+//! copying a single item. Mutators go through [`Arc::make_mut`], which clones
+//! the map only if a snapshot is still alive at that moment.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pepper_types::{CircularRange, Item, KeyInterval};
 
 /// An ordered collection of items keyed by mapped value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ItemStore {
-    map: BTreeMap<u64, Item>,
+    map: Arc<BTreeMap<u64, Item>>,
 }
 
 impl ItemStore {
@@ -33,12 +39,15 @@ impl ItemStore {
     /// Inserts an item under its mapped value. Returns the previous item
     /// stored under the same mapped value, if any.
     pub fn insert(&mut self, mapped: u64, item: Item) -> Option<Item> {
-        self.map.insert(mapped, item)
+        Arc::make_mut(&mut self.map).insert(mapped, item)
     }
 
     /// Removes the item stored under `mapped`.
     pub fn remove(&mut self, mapped: u64) -> Option<Item> {
-        self.map.remove(&mapped)
+        if !self.map.contains_key(&mapped) {
+            return None;
+        }
+        Arc::make_mut(&mut self.map).remove(&mapped)
     }
 
     /// Returns the item stored under `mapped`, if any.
@@ -54,6 +63,12 @@ impl ItemStore {
     /// All items, in mapped-value order.
     pub fn items(&self) -> impl Iterator<Item = (&u64, &Item)> {
         self.map.iter()
+    }
+
+    /// An immutable snapshot of all items, in mapped-value order. Shares the
+    /// store's map: no item is copied, now or when the store later changes.
+    pub fn snapshot(&self) -> Arc<BTreeMap<u64, Item>> {
+        Arc::clone(&self.map)
     }
 
     /// All items as owned clones, in mapped-value order.
@@ -87,21 +102,27 @@ impl ItemStore {
             .filter(|k| range.contains(**k))
             .copied()
             .collect();
+        if keys.is_empty() {
+            return Vec::new();
+        }
+        let map = Arc::make_mut(&mut self.map);
         keys.into_iter()
-            .map(|k| (k, self.map.remove(&k).expect("key collected above")))
+            .map(|k| (k, map.remove(&k).expect("key collected above")))
             .collect()
     }
 
     /// Bulk-inserts items.
     pub fn extend(&mut self, items: impl IntoIterator<Item = (u64, Item)>) {
-        self.map.extend(items);
+        Arc::make_mut(&mut self.map).extend(items);
     }
 
     /// Removes every item and returns them.
     pub fn drain_all(&mut self) -> Vec<(u64, Item)> {
-        let out: Vec<(u64, Item)> = self.map.iter().map(|(k, v)| (*k, v.clone())).collect();
-        self.map.clear();
-        out
+        let map = std::mem::take(&mut self.map);
+        Arc::try_unwrap(map)
+            .unwrap_or_else(|shared| (*shared).clone())
+            .into_iter()
+            .collect()
     }
 
     /// The stored mapped values in *ring order* for the given responsibility
@@ -253,5 +274,29 @@ mod tests {
         let keys: Vec<u64> = s.items().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 30, 50]);
         assert_eq!(s.to_vec().len(), 3);
+    }
+
+    #[test]
+    fn snapshot_is_unaffected_by_later_mutation() {
+        let mut s = store_with(&[10, 20]);
+        let snap = s.snapshot();
+        s.insert(30, item(30));
+        s.remove(10);
+        s.extend(vec![(40, item(40))]);
+        s.take_range(&CircularRange::new(35u64, 45u64));
+        let snapped: Vec<u64> = snap.keys().copied().collect();
+        assert_eq!(snapped, vec![10, 20]);
+        let now: Vec<u64> = s.items().map(|(k, _)| *k).collect();
+        assert_eq!(now, vec![20, 30]);
+        // Draining the store leaves the snapshot intact too.
+        let drained: Vec<u64> = s.drain_all().iter().map(|(k, _)| *k).collect();
+        assert_eq!(drained, vec![20, 30]);
+        assert!(s.is_empty());
+        assert_eq!(snap.len(), 2);
+        // Without an outstanding snapshot, mutation works in place.
+        drop(snap);
+        let mut t = store_with(&[1]);
+        t.insert(2, item(2));
+        assert_eq!(t.len(), 2);
     }
 }

@@ -345,16 +345,13 @@ impl PeerNode {
         let now = ctx.now();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "Start", String::new);
-        let mut out = Effects::new();
-        self.start_layers(now, &mut out);
-        ctx.apply(out, |m| m);
+        self.start_layers(now, ctx.effects());
     }
 
     /// `insertItem`: store `item` in the index (routed to the responsible
     /// peer; acknowledged asynchronously via [`Observation::InsertAcked`]).
     pub fn insert_item(&mut self, ctx: &mut Context<'_, PeerMsg>, item: Item) {
         let now = ctx.now();
-        let mut out = Effects::new();
         let mapped = self.cfg.key_map.map(item.skv).raw();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "InsertItem", || format!("mapped={mapped}"));
@@ -376,15 +373,13 @@ impl PeerNode {
                 reply_to: self.id,
             },
             0,
-            &mut out,
+            ctx.effects(),
         );
-        ctx.apply(out, |m| m);
     }
 
     /// `deleteItem`: remove the item with search key `key` from the index.
     pub fn delete_item(&mut self, ctx: &mut Context<'_, PeerMsg>, key: SearchKey) {
         let now = ctx.now();
-        let mut out = Effects::new();
         let mapped = self.cfg.key_map.map(key).raw();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "DeleteItem", || format!("mapped={mapped}"));
@@ -398,9 +393,8 @@ impl PeerNode {
                 reply_to: self.id,
             },
             0,
-            &mut out,
+            ctx.effects(),
         );
-        ctx.apply(out, |m| m);
     }
 
     /// `rangeQuery` / `findItems`: evaluate a range query. The result is
@@ -414,18 +408,16 @@ impl PeerNode {
         let now = ctx.now();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "RangeQuery", String::new);
-        let mut out = Effects::new();
+        let out = ctx.effects();
         let lctx = LayerCtx::new(self.id, now);
         let (registered, ds_events) = self
             .ds
-            .with(&mut out, |ds, fx| ds.register_query(lctx, query, fx));
-        self.process_ds_events(now, ds_events, &mut out);
-        let result = registered.map(|(id, interval)| {
-            self.route_scan_start(now, id, interval, self.cfg.protocol.pepper_scan, &mut out);
+            .with(out, |ds, fx| ds.register_query(lctx, query, fx));
+        self.process_ds_events(now, ds_events, out);
+        registered.map(|(id, interval)| {
+            self.route_scan_start(now, id, interval, self.cfg.protocol.pepper_scan, out);
             id
-        });
-        ctx.apply(out, |m| m);
-        result
+        })
     }
 
     /// Voluntarily leave the ring: offer this peer's range to its
@@ -438,19 +430,17 @@ impl PeerNode {
         let now = ctx.now();
         self.trace.set_cid(ctx.cid());
         self.note(now, "api", "RequestLeave", String::new);
-        let mut out = Effects::new();
-        let started = match self.ring.pred() {
+        let out = ctx.effects();
+        match self.ring.pred() {
             Some((pred, _)) if pred != self.id => {
                 let (ok, ds_events) = self
                     .ds
-                    .with(&mut out, |ds, fx| ds.begin_voluntary_leave(pred, fx));
-                self.process_ds_events(now, ds_events, &mut out);
+                    .with(out, |ds, fx| ds.begin_voluntary_leave(pred, fx));
+                self.process_ds_events(now, ds_events, out);
                 ok
             }
             _ => false,
-        };
-        ctx.apply(out, |m| m);
-        started
+        }
     }
 
     // ------------------------------------------------------------------
@@ -748,7 +738,7 @@ impl PeerNode {
                     let ctx = self.layer_ctx(now);
                     // Item availability protection: replicate everything this
                     // peer stores one additional hop before leaving.
-                    let own_items = self.ds.local_items_mapped();
+                    let own_items = self.ds.items_snapshot();
                     let succs = self.joined_successors();
                     let (_, repl_events) = self.repl.with(out, |repl, fx| {
                         repl.replicate_additional_hop(ctx, &own_items, &succs, fx)
@@ -782,7 +772,7 @@ impl PeerNode {
                     // Shrinks (the giving side of a transfer) hold nothing
                     // new and skip the push.
                     if grew {
-                        let own_items = self.ds.local_items_mapped();
+                        let own_items = self.ds.items_snapshot();
                         let succs = self.joined_successors();
                         let ctx = self.layer_ctx(now);
                         let ((), repl_events) = self.repl.with(out, |repl, fx| {
@@ -916,7 +906,7 @@ impl PeerNode {
                 ReplEvent::RefreshDue => {
                     // One refresh round of the CFS scheme, fed with the
                     // cross-layer snapshot only the composed peer can take.
-                    let own_items = self.ds.local_items_mapped();
+                    let own_items = self.ds.items_snapshot();
                     let succs = self.joined_successors();
                     let ctx = self.layer_ctx(now);
                     let ((), repl_events) = self.repl.with(out, |repl, fx| {
@@ -1015,7 +1005,7 @@ impl PeerNode {
         self.note(now, "api", "RestartRejoin", || {
             format!("donating={donation_len}")
         });
-        let mut out = Effects::new();
+        let out = ctx.effects();
         if let Some((peer, value)) = contact {
             self.ds.set_successor(peer, value);
         }
@@ -1040,11 +1030,10 @@ impl PeerNode {
                     reply_to: self.id,
                 },
                 0,
-                &mut out,
+                out,
             );
         }
         self.pool.readmit(self.id);
-        ctx.apply(out, |m| m);
         donated
     }
 
@@ -1301,9 +1290,7 @@ impl Node for PeerNode {
                 },
             );
         }
-        let mut out = Effects::new();
-        self.dispatch(now, from, msg, &mut out);
-        ctx.apply(out, |m| m);
+        self.dispatch(now, from, msg, ctx.effects());
     }
 
     fn on_killed(&mut self) {

@@ -3,8 +3,9 @@
 //! Every protocol layer in this workspace is written as a state machine whose
 //! handlers never touch the network directly: they push [`Effect`]s into an
 //! [`Effects`] buffer. The composed peer maps each layer's effects into its
-//! own unified message type (see `Effects::map_into`) and ultimately hands
-//! them to the simulator's [`Context`](crate::sim::Context). This keeps every
+//! own unified message type (see [`Effects::absorb`]), straight into the
+//! simulator's reused buffer (see
+//! [`Context::effects`](crate::sim::Context::effects)). This keeps every
 //! protocol unit-testable in isolation.
 
 use std::time::Duration;
@@ -104,19 +105,26 @@ impl<M> Effects<M> {
         std::mem::take(&mut self.effects)
     }
 
-    /// Consumes the buffer, converting every message with `f`.
-    pub fn map_into<N>(self, mut f: impl FnMut(M) -> N) -> Vec<Effect<N>> {
-        self.effects.into_iter().map(|e| e.map(&mut f)).collect()
-    }
-
     /// Iterates over the buffered effects.
     pub fn iter(&self) -> impl Iterator<Item = &Effect<M>> {
         self.effects.iter()
     }
 
-    /// Appends all effects from `other` (after mapping) to `self`.
-    pub fn absorb<N>(&mut self, other: Effects<N>, f: impl FnMut(N) -> M) {
-        self.effects.extend(other.map_into(f));
+    /// Moves all effects from `other` (after mapping) to the end of `self`,
+    /// leaving `other` empty with its capacity intact for reuse.
+    pub fn absorb<N>(&mut self, other: &mut Effects<N>, mut f: impl FnMut(N) -> M) {
+        self.effects
+            .extend(other.effects.drain(..).map(|e| e.map(&mut f)));
+    }
+
+    /// Wraps a raw effect vector (the simulator's scratch buffer).
+    pub(crate) fn from_vec(effects: Vec<Effect<M>>) -> Self {
+        Effects { effects }
+    }
+
+    /// Unwraps the raw effect vector, keeping its capacity.
+    pub(crate) fn into_vec(self) -> Vec<Effect<M>> {
+        self.effects
     }
 }
 
@@ -165,26 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn map_into_wraps_messages() {
-        let mut fx: Effects<Low> = Effects::new();
-        fx.send(PeerId(1), Low::Ping);
-        let mapped = fx.map_into(High::Low);
-        assert_eq!(
-            mapped,
-            vec![Effect::Send {
-                to: PeerId(1),
-                msg: High::Low(Low::Ping)
-            }]
-        );
-    }
-
-    #[test]
     fn absorb_merges_layer_effects() {
         let mut low: Effects<Low> = Effects::new();
         low.send(PeerId(3), Low::Pong);
         let mut high: Effects<High> = Effects::new();
-        high.absorb(low, High::Low);
-        assert_eq!(high.len(), 1);
+        high.absorb(&mut low, High::Low);
+        assert_eq!(
+            high.drain(),
+            vec![Effect::Send {
+                to: PeerId(3),
+                msg: High::Low(Low::Pong)
+            }]
+        );
+        // The source is drained, not consumed: it can be refilled.
+        assert!(low.is_empty());
     }
 
     #[test]

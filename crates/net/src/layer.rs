@@ -47,23 +47,33 @@ pub trait ProtocolLayer {
 /// from the layer's message type into the peer's unified message type.
 ///
 /// All effect mapping funnels through [`LayerSlot::with`]; the composed
-/// peer never touches `Effects::map_into`/`absorb` itself. Read access to the
+/// peer never touches [`Effects::absorb`] itself. Read access to the
 /// layer goes through `Deref`, and state mutators that emit neither effects
 /// nor events can be called through `DerefMut`; anything that emits either
 /// must run inside [`LayerSlot::with`] so the effects are captured and mapped
 /// and the events are drained and returned — never left behind in the layer's
 /// buffer to be mis-attributed to a later, unrelated invocation.
+///
+/// The slot retains one effect buffer in the layer's own message type. Every
+/// invocation emits into it and [`LayerSlot::with`] drains it into `out`
+/// before returning, so the buffer is always empty between invocations and
+/// its capacity is reused instead of reallocated per dispatch.
 #[derive(Debug, Clone)]
 pub struct LayerSlot<L: ProtocolLayer, M> {
     layer: L,
     wrap: fn(L::Msg) -> M,
+    fx: Effects<L::Msg>,
 }
 
 impl<L: ProtocolLayer, M> LayerSlot<L, M> {
     /// Wraps `layer`, mapping its messages into `M` with `wrap` (typically an
     /// enum constructor like `PeerMsg::Ring`).
     pub fn new(layer: L, wrap: fn(L::Msg) -> M) -> Self {
-        LayerSlot { layer, wrap }
+        LayerSlot {
+            layer,
+            wrap,
+            fx: Effects::new(),
+        }
     }
 
     /// Consumes the slot, returning the layer.
@@ -71,20 +81,20 @@ impl<L: ProtocolLayer, M> LayerSlot<L, M> {
         self.layer
     }
 
-    /// Runs `f` against the layer with a fresh effect buffer, maps every
-    /// emitted effect into `out`, and returns the closure result together
-    /// with the events the invocation buffered. This is the one generic
-    /// mapping site of a composed peer, and draining here (rather than at
-    /// the call site) guarantees no event is left behind to be mis-attributed
-    /// to a later, unrelated invocation.
+    /// Runs `f` against the layer with the slot's (empty) effect buffer,
+    /// drains every emitted effect into `out` through the wrap function, and
+    /// returns the closure result together with the events the invocation
+    /// buffered. This is the one generic mapping site of a composed peer,
+    /// and draining here (rather than at the call site) guarantees no effect
+    /// or event is left behind to be mis-attributed to a later, unrelated
+    /// invocation.
     pub fn with<R>(
         &mut self,
         out: &mut Effects<M>,
         f: impl FnOnce(&mut L, &mut Effects<L::Msg>) -> R,
     ) -> (R, Vec<L::Event>) {
-        let mut fx = Effects::new();
-        let result = f(&mut self.layer, &mut fx);
-        out.absorb(fx, self.wrap);
+        let result = f(&mut self.layer, &mut self.fx);
+        out.absorb(&mut self.fx, self.wrap);
         (result, self.layer.drain_events())
     }
 
@@ -242,5 +252,49 @@ mod tests {
         // nothing is left behind for a later invocation to pick up.
         assert_eq!(events, vec![EchoEvent::Greeted(PeerId(2))]);
         assert!(slot.drain_events().is_empty());
+    }
+
+    #[test]
+    fn consecutive_invocations_deliver_only_their_own_effects_in_order() {
+        let mut slot = LayerSlot::new(EchoLayer::default(), WireMsg::Echo);
+        let mut out: Effects<WireMsg> = Effects::new();
+        let events = slot.handle(ctx(), PeerId(4), EchoMsg::Hello, &mut out);
+        assert_eq!(events, vec![EchoEvent::Greeted(PeerId(4))]);
+        assert_eq!(
+            out.drain(),
+            vec![crate::effect::Effect::Send {
+                to: PeerId(4),
+                msg: WireMsg::Echo(EchoMsg::Hello),
+            }]
+        );
+        assert!(slot.fx.is_empty());
+
+        // A second invocation emitting several effects sees an empty buffer
+        // and hands over exactly its own effects, in emission order.
+        let ((), events) = slot.with(&mut out, |layer, fx| {
+            assert!(fx.is_empty());
+            layer.handle(ctx(), PeerId(5), EchoMsg::Tick, fx);
+            layer.handle(ctx(), PeerId(6), EchoMsg::Hello, fx);
+        });
+        assert_eq!(events, vec![EchoEvent::Greeted(PeerId(6))]);
+        assert_eq!(
+            out.drain(),
+            vec![
+                crate::effect::Effect::Timer {
+                    delay: Duration::from_secs(1),
+                    msg: WireMsg::Echo(EchoMsg::Tick),
+                },
+                crate::effect::Effect::Send {
+                    to: PeerId(6),
+                    msg: WireMsg::Echo(EchoMsg::Hello),
+                },
+            ]
+        );
+        assert!(slot.fx.is_empty());
+
+        // A third, effect-free invocation delivers nothing.
+        slot.with(&mut out, |_, _| ());
+        assert!(out.is_empty());
+        assert!(slot.fx.is_empty());
     }
 }

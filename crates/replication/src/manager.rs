@@ -1,6 +1,7 @@
 //! The replication manager state machine.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use pepper_net::{Effects, LayerCtx, ProtocolLayer};
@@ -112,28 +113,29 @@ impl ReplicationManager {
     }
 
     /// Pushes this peer's items to its `k` nearest successors (one refresh
-    /// round of the CFS scheme).
+    /// round of the CFS scheme). Every target receives the same shared
+    /// snapshot; no item is copied.
     pub fn push_to_successors(
         &mut self,
         _ctx: LayerCtx,
-        own_items: &[(u64, Item)],
+        own_items: &Arc<BTreeMap<u64, Item>>,
         successors: &[PeerId],
         fx: &mut Effects<ReplMsg>,
     ) {
         if own_items.is_empty() {
             return;
         }
-        let targets: Vec<PeerId> = successors
+        let targets = successors
             .iter()
             .copied()
             .filter(|p| *p != self.id)
-            .take(self.cfg.replication_factor)
-            .collect();
+            .take(self.cfg.replication_factor);
         for target in targets {
             fx.send(
                 target,
                 ReplMsg::Push {
-                    items: own_items.to_vec(),
+                    items: Arc::clone(own_items),
+                    replicas: Vec::new(),
                     extra_hop: false,
                 },
             );
@@ -149,16 +151,14 @@ impl ReplicationManager {
     pub fn replicate_additional_hop(
         &mut self,
         _ctx: LayerCtx,
-        own_items: &[(u64, Item)],
+        own_items: &Arc<BTreeMap<u64, Item>>,
         successors: &[PeerId],
         fx: &mut Effects<ReplMsg>,
     ) -> bool {
         if !self.cfg.extra_hop_enabled {
             return false;
         }
-        let mut payload: Vec<(u64, Item)> = own_items.to_vec();
-        payload.extend(self.replicas());
-        if payload.is_empty() {
+        if own_items.is_empty() && self.replica_store.is_empty() {
             return false;
         }
         // The k nearest successors already receive this peer's own items
@@ -181,7 +181,8 @@ impl ReplicationManager {
         fx.send(
             target,
             ReplMsg::Push {
-                items: payload,
+                items: Arc::clone(own_items),
+                replicas: self.replicas(),
                 extra_hop: true,
             },
         );
@@ -192,7 +193,8 @@ impl ReplicationManager {
                 fx.send(
                     first,
                     ReplMsg::Push {
-                        items: self.replicas(),
+                        items: Arc::default(),
+                        replicas: self.replicas(),
                         extra_hop: true,
                     },
                 );
@@ -275,14 +277,17 @@ impl ProtocolLayer for ReplicationManager {
             }
             ReplMsg::Push {
                 items,
+                replicas,
                 extra_hop: _,
             } => {
                 self.pushes_received += 1;
+                // Only entries that differ from the replica store are
+                // cloned; a settled ring's refresh copies nothing.
                 let mut delta = Vec::new();
-                for (mapped, item) in items {
-                    if self.replica_store.get(&mapped) != Some(&item) {
+                for (&mapped, item) in items.iter().chain(replicas.iter().map(|(k, v)| (k, v))) {
+                    if self.replica_store.get(&mapped) != Some(item) {
                         delta.push((mapped, item.clone()));
-                        self.replica_store.insert(mapped, item);
+                        self.replica_store.insert(mapped, item.clone());
                     }
                 }
                 if !delta.is_empty() {
@@ -327,7 +332,7 @@ mod tests {
         ctx: LayerCtx,
         from: PeerId,
         msg: ReplMsg,
-        own_items: &[(u64, Item)],
+        own_items: &Arc<BTreeMap<u64, Item>>,
         successors: &[PeerId],
         fx: &mut Effects<ReplMsg>,
     ) -> bool {
@@ -353,6 +358,10 @@ mod tests {
         (k, Item::for_key(SearchKey(k)))
     }
 
+    fn snap(items: Vec<(u64, Item)>) -> Arc<BTreeMap<u64, Item>> {
+        Arc::new(items.into_iter().collect())
+    }
+
     #[test]
     fn config_from_system() {
         let cfg = ReplicaConfig::from_system(&SystemConfig::paper_defaults());
@@ -368,7 +377,7 @@ mod tests {
     fn refresh_pushes_to_k_successors() {
         let mut rm = ReplicationManager::new(PeerId(0), ReplicaConfig::test(2));
         let mut fx = Effects::new();
-        let own = vec![item(10), item(20)];
+        let own = snap(vec![item(10), item(20)]);
         let succs = vec![PeerId(1), PeerId(2), PeerId(3)];
         let refreshed = handle_with_snapshot(
             &mut rm,
@@ -396,6 +405,14 @@ mod tests {
             })
             .collect();
         assert_eq!(targets, vec![PeerId(1), PeerId(2)]);
+        // Every target shares the one snapshot: nothing was copied.
+        assert!(effects.iter().all(|e| match e {
+            Effect::Send {
+                msg: ReplMsg::Push { items, .. },
+                ..
+            } => Arc::ptr_eq(items, &own),
+            _ => true,
+        }));
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Timer {
@@ -409,7 +426,7 @@ mod tests {
     fn refresh_with_no_items_sends_nothing() {
         let mut rm = ReplicationManager::new(PeerId(0), ReplicaConfig::test(2));
         let mut fx = Effects::new();
-        rm.push_to_successors(ctx(0), &[], &[PeerId(1)], &mut fx);
+        rm.push_to_successors(ctx(0), &Arc::default(), &[PeerId(1)], &mut fx);
         assert!(fx.is_empty());
     }
 
@@ -422,10 +439,11 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20)],
+                items: snap(vec![item(10), item(20)]),
+                replicas: vec![],
                 extra_hop: false,
             },
-            &[],
+            &Arc::default(),
             &[],
             &mut fx,
         );
@@ -446,10 +464,11 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20), item(30)],
+                items: snap(vec![item(10), item(20), item(30)]),
+                replicas: vec![],
                 extra_hop: false,
             },
-            &[],
+            &Arc::default(),
             &[],
             &mut fx,
         );
@@ -475,29 +494,31 @@ mod tests {
             ctx(0),
             PeerId(9),
             ReplMsg::Push {
-                items: vec![item(5)],
+                items: snap(vec![item(5)]),
+                replicas: vec![],
                 extra_hop: false,
             },
-            &[],
+            &Arc::default(),
             &[],
             &mut fx,
         );
-        let own = vec![item(10)];
+        let own = snap(vec![item(10)]);
         let succs = vec![PeerId(1), PeerId(2), PeerId(3), PeerId(4)];
         assert!(rm.replicate_additional_hop(ctx(0), &own, &succs, &mut fx));
         assert_eq!(rm.extra_hop_pushes(), 1);
         let effects = fx.drain();
-        // The main extra-hop push goes to the (k+1)-th successor (index 2).
+        // The main extra-hop push goes to the (k+1)-th successor (index 2)
+        // and carries both the own items and the held replicas.
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items } }
-                if *to == PeerId(3) && items.len() == 2
+            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items, replicas } }
+                if *to == PeerId(3) && items.len() == 1 && replicas.len() == 1
         )));
         // The held replicas also move to the immediate successor.
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items } }
-                if *to == PeerId(1) && items.len() == 1
+            Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, items, replicas } }
+                if *to == PeerId(1) && items.is_empty() && replicas.len() == 1
         )));
     }
 
@@ -509,7 +530,7 @@ mod tests {
         };
         let mut rm = ReplicationManager::new(PeerId(0), cfg);
         let mut fx = Effects::new();
-        assert!(!rm.replicate_additional_hop(ctx(0), &[item(10)], &[PeerId(1)], &mut fx));
+        assert!(!rm.replicate_additional_hop(ctx(0), &snap(vec![item(10)]), &[PeerId(1)], &mut fx));
         assert!(fx.is_empty());
     }
 
@@ -517,7 +538,12 @@ mod tests {
     fn extra_hop_with_short_successor_list_uses_last_known() {
         let mut rm = ReplicationManager::new(PeerId(0), ReplicaConfig::test(4));
         let mut fx = Effects::new();
-        assert!(rm.replicate_additional_hop(ctx(0), &[item(10)], &[PeerId(1), PeerId(2)], &mut fx));
+        assert!(rm.replicate_additional_hop(
+            ctx(0),
+            &snap(vec![item(10)]),
+            &[PeerId(1), PeerId(2)],
+            &mut fx
+        ));
         assert!(fx.iter().any(|e| matches!(
             e,
             Effect::Send { to, msg: ReplMsg::Push { extra_hop: true, .. } } if *to == PeerId(2)
@@ -533,10 +559,11 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(50)],
+                items: snap(vec![item(10), item(50)]),
+                replicas: vec![],
                 extra_hop: false,
             },
-            &[],
+            &Arc::default(),
             &[],
             &mut fx,
         );
@@ -555,7 +582,8 @@ mod tests {
             ctx(2),
             PeerId(9),
             ReplMsg::Push {
-                items: vec![item(10), item(50)],
+                items: snap(vec![item(10), item(50)]),
+                replicas: vec![],
                 extra_hop: false,
             },
             &mut fx,
@@ -621,7 +649,8 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20)],
+                items: snap(vec![item(10), item(20)]),
+                replicas: vec![],
                 extra_hop: false,
             },
             &mut fx,
@@ -637,7 +666,8 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![item(10), item(20)],
+                items: snap(vec![item(10), item(20)]),
+                replicas: vec![],
                 extra_hop: false,
             },
             &mut fx,
@@ -657,7 +687,8 @@ mod tests {
             ctx(1),
             PeerId(0),
             ReplMsg::Push {
-                items: vec![changed.clone(), item(20)],
+                items: snap(vec![changed.clone(), item(20)]),
+                replicas: vec![],
                 extra_hop: false,
             },
             &mut fx,

@@ -1,5 +1,8 @@
 //! Replication protocol messages.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use pepper_types::{CircularRange, Item};
 
 /// Messages exchanged by the Replication Manager.
@@ -7,14 +10,19 @@ use pepper_types::{CircularRange, Item};
 pub enum ReplMsg {
     /// Periodic replica-refresh tick.
     RefreshTick,
-    /// A replica push: `items` (with their mapped values) owned by `owner`
-    /// are to be stored in the receiver's replica store.
+    /// A replica push: the sender's `items`, followed by the `replicas` it
+    /// forwards, are to be stored in the receiver's replica store.
     ///
     /// `extra_hop` marks pushes performed by a peer that is about to leave
     /// on a merge (the paper's replicate-to-additional-hop).
     Push {
-        /// The items being replicated (mapped value, item).
-        items: Vec<(u64, Item)>,
+        /// The sender's own items (mapped value → item): one immutable
+        /// snapshot of its store, shared by every target of a refresh round.
+        items: Arc<BTreeMap<u64, Item>>,
+        /// Replicas the sender holds for its predecessors (mapped value,
+        /// item), forwarded one hop further by an extra-hop push. Empty in
+        /// refresh pushes.
+        replicas: Vec<(u64, Item)>,
         /// Whether this push is the pre-leave additional-hop replication.
         extra_hop: bool,
     },
@@ -55,7 +63,8 @@ mod tests {
         assert_eq!(ReplMsg::RefreshTick.tag(), "RefreshTick");
         assert_eq!(
             ReplMsg::Push {
-                items: vec![],
+                items: Arc::default(),
+                replicas: vec![],
                 extra_hop: false
             }
             .tag(),

@@ -100,11 +100,10 @@ impl ThreeLayerNode {
 
     fn start(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let lctx = ctx.layer();
-        let mut out = Effects::new();
-        self.ring.start_timers(lctx, &mut out);
-        self.ds.start_timers(lctx, &mut out);
-        self.repl.start_timers(lctx, &mut out);
-        ctx.apply(out, |m| m);
+        let out = ctx.effects();
+        self.ring.start_timers(lctx, out);
+        self.ds.start_timers(lctx, out);
+        self.repl.start_timers(lctx, out);
     }
 }
 
@@ -114,22 +113,21 @@ impl Node for ThreeLayerNode {
     fn on_message(&mut self, ctx: &mut Context<'_, WireMsg>, from: PeerId, msg: WireMsg) {
         let lctx = ctx.layer();
         let now = ctx.now();
-        let mut out = Effects::new();
+        let out = ctx.effects();
         match msg {
             WireMsg::Ring(m) => {
                 self.fired.push((now, "ring"));
-                self.ring.handle(lctx, from, m, &mut out);
+                self.ring.handle(lctx, from, m, out);
             }
             WireMsg::Ds(m) => {
                 self.fired.push((now, "ds"));
-                self.ds.handle(lctx, from, m, &mut out);
+                self.ds.handle(lctx, from, m, out);
             }
             WireMsg::Repl(m) => {
                 self.fired.push((now, "repl"));
-                self.repl.handle(lctx, from, m, &mut out);
+                self.repl.handle(lctx, from, m, out);
             }
         }
-        ctx.apply(out, |m| m);
     }
 }
 
