@@ -18,7 +18,7 @@
 //! side parks incoming item inserts/deletes so no item can land in (or
 //! silently vanish from) the moving sub-range.
 
-use pepper_net::{Effects, LayerCtx};
+use pepper_net::{Emit, LayerCtx};
 use pepper_types::{CircularRange, Item, PeerId, PeerValue};
 
 use crate::events::DsEvent;
@@ -72,7 +72,7 @@ impl DataStoreState {
 
     /// Aborts an announced rebalance (no free peer available, no successor,
     /// ring insert failed, …) and schedules a retry.
-    pub fn cancel_rebalance(&mut self, fx: &mut Effects<DsMsg>) {
+    pub fn cancel_rebalance(&mut self, fx: &mut dyn Emit<DsMsg>) {
         self.rebalancing = false;
         self.pending_split = None;
         self.handoff_to = None;
@@ -86,7 +86,7 @@ impl DataStoreState {
     /// item writes, storage bounds never re-checked). Copy-then-delete makes
     /// every abort safe: the giving side still holds all items until the ack
     /// that will now never come.
-    pub fn on_peer_failed(&mut self, ctx: LayerCtx, peer: PeerId, fx: &mut Effects<DsMsg>) {
+    pub fn on_peer_failed(&mut self, ctx: LayerCtx, peer: PeerId, fx: &mut dyn Emit<DsMsg>) {
         // Drop deferred grants from the dead peer: its retained range is
         // revived from replicas by its ring successor, so applying the stale
         // grant here would double-own the granted sub-range. (The grant was
@@ -182,7 +182,7 @@ impl DataStoreState {
         &mut self,
         _ctx: LayerCtx,
         to: PeerId,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) -> Option<CircularRange> {
         let moved = self.pending_split?;
         let items = self.store.items_in_range(&moved);
@@ -205,7 +205,7 @@ impl DataStoreState {
         from: PeerId,
         range: CircularRange,
         items: Vec<(u64, Item)>,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         self.write_or_defer(
             ctx,
@@ -220,7 +220,7 @@ impl DataStoreState {
 
     /// Splitter side: the new peer confirmed; drop the moved items and
     /// shrink the range (deferred while scans pass).
-    pub(crate) fn on_handoff_ack(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+    pub(crate) fn on_handoff_ack(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<DsMsg>) {
         let Some(moved) = self.pending_split else {
             return;
         };
@@ -233,7 +233,7 @@ impl DataStoreState {
 
     /// Sends a merge request to the successor. Called by the index layer in
     /// response to [`DsEvent::MergeNeeded`].
-    pub fn send_merge_request(&mut self, to: PeerId, fx: &mut Effects<DsMsg>) {
+    pub fn send_merge_request(&mut self, to: PeerId, fx: &mut dyn Emit<DsMsg>) {
         self.merge_requested_from = Some(to);
         fx.send(
             to,
@@ -252,7 +252,7 @@ impl DataStoreState {
         from: PeerId,
         requester_items: usize,
         _requester_value: PeerValue,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.status != DsStatus::Live
             || self.rebalancing
@@ -314,7 +314,7 @@ impl DataStoreState {
         items: Vec<(u64, Item)>,
         new_boundary: PeerValue,
         granter_low: PeerValue,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         self.merge_requested_from = None;
         self.write_or_defer(
@@ -335,7 +335,7 @@ impl DataStoreState {
         &mut self,
         ctx: LayerCtx,
         new_boundary: PeerValue,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         self.write_or_defer(ctx, DeferredWrite::FinishRedistribute { new_boundary }, fx);
     }
@@ -351,7 +351,7 @@ impl DataStoreState {
     /// Sends the full merge grant to the predecessor. Called by the index
     /// layer once the availability protections (extra-hop replication and
     /// ring leave) have completed.
-    pub fn send_merge_grant(&mut self, fx: &mut Effects<DsMsg>) -> Option<PeerId> {
+    pub fn send_merge_grant(&mut self, fx: &mut dyn Emit<DsMsg>) -> Option<PeerId> {
         let (to, range, items) = self.merge_give_payload()?;
         self.item_writes_blocked = true;
         fx.send(
@@ -378,7 +378,7 @@ impl DataStoreState {
     /// Aborts an announced merge-give (for example when the ring refuses to
     /// start a `leave` because another operation is in flight). The requester
     /// is expected to be told via a `MergeDeclined` by the caller.
-    pub fn cancel_merge_give(&mut self, _fx: &mut Effects<DsMsg>) {
+    pub fn cancel_merge_give(&mut self, _fx: &mut dyn Emit<DsMsg>) {
         self.merge_give_to = None;
         self.rebalancing = false;
         self.item_writes_blocked = false;
@@ -393,7 +393,7 @@ impl DataStoreState {
         range: CircularRange,
         items: Vec<(u64, Item)>,
         _granter_value: PeerValue,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         self.merge_requested_from = None;
         self.write_or_defer(
@@ -409,7 +409,7 @@ impl DataStoreState {
 
     /// Granter side: the requester absorbed everything; become a free peer
     /// (deferred while scans pass).
-    pub(crate) fn on_merge_grant_ack(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+    pub(crate) fn on_merge_grant_ack(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<DsMsg>) {
         self.write_or_defer(ctx, DeferredWrite::FinishMergeGive, fx);
     }
 
@@ -423,7 +423,7 @@ impl DataStoreState {
         &mut self,
         _ctx: LayerCtx,
         from: PeerId,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         let was_requester = self.merge_requested_from == Some(from);
         let was_absorbing = self.absorbing_leave_from == Some(from);
@@ -452,7 +452,7 @@ impl DataStoreState {
     /// (the same protection the `rebalancing` flag gives the requester of an
     /// underflow-driven merge). Returns `false` when this peer cannot leave
     /// right now (free, rebalancing, sole owner of the ring, …).
-    pub fn begin_voluntary_leave(&mut self, pred: PeerId, fx: &mut Effects<DsMsg>) -> bool {
+    pub fn begin_voluntary_leave(&mut self, pred: PeerId, fx: &mut dyn Emit<DsMsg>) -> bool {
         if self.status != DsStatus::Live
             || self.rebalancing
             || self.item_writes_blocked
@@ -488,7 +488,7 @@ impl DataStoreState {
         _ctx: LayerCtx,
         from: PeerId,
         leaver_value: PeerValue,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         // Only the peer identity is compared: the cached successor *value*
         // reflects the moment the successor was announced and goes stale when
@@ -522,7 +522,7 @@ impl DataStoreState {
         &mut self,
         _ctx: LayerCtx,
         from: PeerId,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.leave_offered_to != Some(from) {
             return;
@@ -579,7 +579,7 @@ impl DataStoreState {
         to: PeerId,
         boundary: Option<PeerValue>,
         attempt: u32,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         match boundary {
             None => {
@@ -627,7 +627,7 @@ impl DataStoreState {
         _ctx: LayerCtx,
         from: PeerId,
         new_boundary: PeerValue,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         let before = self.deferred.len();
         self.deferred.retain(|w| {
@@ -648,7 +648,7 @@ impl DataStoreState {
         &mut self,
         ctx: LayerCtx,
         new_boundary: PeerValue,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.redistribute_give_boundary == Some(new_boundary) {
             self.redistribute_give_boundary = None;
@@ -676,7 +676,7 @@ impl DataStoreState {
         &mut self,
         ctx: LayerCtx,
         write: DeferredWrite,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         match write {
             DeferredWrite::CompleteSplit { moved } => {
@@ -848,7 +848,7 @@ impl DataStoreState {
     }
 
     /// Re-dispatches item writes that were parked during a transfer.
-    fn unblock_item_writes(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+    fn unblock_item_writes(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<DsMsg>) {
         self.item_writes_blocked = false;
         let parked = std::mem::take(&mut self.blocked_item_writes);
         for (from, msg) in parked {
@@ -862,7 +862,7 @@ mod tests {
     use super::*;
     use crate::config::DsConfig;
     use crate::messages::QueryId;
-    use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_net::{Effect, Effects, ProtocolLayer, SimTime};
     use pepper_types::{Item, SearchKey};
 
     fn ctx(id: u64) -> LayerCtx {

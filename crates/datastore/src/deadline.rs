@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use pepper_net::{Effects, SimTime};
+use pepper_net::{Emit, SimTime};
 
 /// Outstanding guards with one shared timeout, in deadline order, behind at
 /// most one armed timer.
@@ -42,7 +42,7 @@ impl<T: Copy> DeadlineQueue<T> {
         now: SimTime,
         timeout: Duration,
         entry: T,
-        fx: &mut Effects<M>,
+        fx: &mut dyn Emit<M>,
         tick: M,
     ) {
         let deadline = now + timeout;
@@ -71,7 +71,7 @@ impl<T: Copy> DeadlineQueue<T> {
     /// Ends a fire: re-arms `tick` at the head's deadline, if an entry is
     /// left. A drained queue frees its buffer: on a large ring most peers
     /// guard something only now and then.
-    pub(crate) fn rearm<M>(&mut self, now: SimTime, fx: &mut Effects<M>, tick: M) {
+    pub(crate) fn rearm<M>(&mut self, now: SimTime, fx: &mut dyn Emit<M>, tick: M) {
         self.armed = match self.entries.front() {
             Some((deadline, _)) => {
                 fx.timer(deadline.duration_since(now), tick);

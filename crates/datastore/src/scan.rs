@@ -16,7 +16,7 @@
 //! miss live items (Section 4.2.2), which is what the correctness
 //! experiments measure.
 
-use pepper_net::{Effects, LayerCtx};
+use pepper_net::{Emit, LayerCtx};
 use pepper_types::{Item, KeyInterval, PeerId};
 
 use crate::events::DsEvent;
@@ -74,7 +74,7 @@ impl DataStoreState {
         interval: KeyInterval,
         prev: Option<PeerId>,
         hop: u32,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.status != DsStatus::Live {
             if prev.is_none() {
@@ -157,7 +157,7 @@ impl DataStoreState {
         ctx: LayerCtx,
         query: QueryId,
         ack_hop: u32,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self
             .pending_forwards
@@ -170,7 +170,7 @@ impl DataStoreState {
 
     /// The peer's forward timer fired: time out every hand-off due by now,
     /// then re-arm at the oldest one still unacknowledged.
-    pub(crate) fn on_scan_forward_timer(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+    pub(crate) fn on_scan_forward_timer(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<DsMsg>) {
         while let Some((query, p)) = self.pending_forwards.due(ctx.now) {
             self.on_scan_forward_timeout(ctx, query, p.target, p.hop, p.attempt, fx);
         }
@@ -189,7 +189,7 @@ impl DataStoreState {
         target: PeerId,
         guard_hop: u32,
         attempt: usize,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         let Some((_, PendingForward { interval, hop, .. })) =
             self.pending_forwards.remove_first(|(q, p)| {
@@ -257,7 +257,7 @@ impl DataStoreState {
         query: QueryId,
         interval: KeyInterval,
         hop: u32,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.status != DsStatus::Live {
             // The naive scan has no recovery: the origin's timeout finalizes
@@ -345,7 +345,7 @@ mod tests {
     use super::*;
     use crate::config::DsConfig;
     use crate::state::DeferredWrite;
-    use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_net::{Effect, Effects, ProtocolLayer, SimTime};
     use pepper_types::{CircularRange, PeerValue, RangeQuery, SearchKey};
     use std::time::Duration;
 

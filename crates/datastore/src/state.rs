@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
+use pepper_net::{Emit, LayerCtx, ProtocolLayer, SimTime};
 use pepper_types::{CircularRange, Item, KeyInterval, PeerId, PeerValue, RangeQuery};
 
 use crate::config::DsConfig;
@@ -483,7 +483,7 @@ impl DataStoreState {
         self.scan_locks += 1;
     }
 
-    pub(crate) fn release_scan_lock(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+    pub(crate) fn release_scan_lock(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<DsMsg>) {
         debug_assert!(self.scan_locks > 0, "releasing a lock that is not held");
         self.scan_locks = self.scan_locks.saturating_sub(1);
         if self.scan_locks == 0 {
@@ -498,7 +498,7 @@ impl DataStoreState {
         &mut self,
         ctx: LayerCtx,
         write: DeferredWrite,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.scan_locks > 0 {
             self.deferred.push(write);
@@ -507,7 +507,7 @@ impl DataStoreState {
         }
     }
 
-    pub(crate) fn apply_deferred(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+    pub(crate) fn apply_deferred(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<DsMsg>) {
         let pending = std::mem::take(&mut self.deferred);
         for write in pending {
             self.apply_write(ctx, write, fx);
@@ -523,7 +523,7 @@ impl DataStoreState {
         _ctx: LayerCtx,
         item: Item,
         reply_to: PeerId,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.item_writes_blocked {
             self.blocked_item_writes
@@ -546,7 +546,7 @@ impl DataStoreState {
         _ctx: LayerCtx,
         mapped: u64,
         reply_to: PeerId,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         if self.item_writes_blocked {
             self.blocked_item_writes
@@ -588,7 +588,7 @@ impl DataStoreState {
         &mut self,
         ctx: LayerCtx,
         query: RangeQuery,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) -> Option<(QueryId, KeyInterval)> {
         let interval = query.normalize()?;
         let id = QueryId {
@@ -623,7 +623,7 @@ impl DataStoreState {
 
     /// The peer's query timer fired: finalize every query whose deadline
     /// has passed, then re-arm at the oldest one still open.
-    fn on_query_deadline(&mut self, ctx: LayerCtx, fx: &mut Effects<DsMsg>) {
+    fn on_query_deadline(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<DsMsg>) {
         while let Some(query) = self.query_deadlines.due(ctx.now) {
             self.finalize_query(ctx, query);
         }
@@ -660,7 +660,7 @@ impl DataStoreState {
         ctx: LayerCtx,
         from: PeerId,
         msg: DsMsg,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) {
         match msg {
             DsMsg::InsertItem { item, reply_to } => self.on_insert_item(ctx, item, reply_to, fx),
@@ -751,9 +751,9 @@ impl ProtocolLayer for DataStoreState {
     /// The Data Store has no periodic protocol of its own; its only timers
     /// (scan-forward timeouts, rebalance retries, query deadlines) are armed
     /// by the handlers that need them.
-    fn start_timers(&mut self, _ctx: LayerCtx, _fx: &mut Effects<DsMsg>) {}
+    fn start_timers(&mut self, _ctx: LayerCtx, _fx: &mut dyn Emit<DsMsg>) {}
 
-    fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: DsMsg, fx: &mut Effects<DsMsg>) {
+    fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: DsMsg, fx: &mut dyn Emit<DsMsg>) {
         self.dispatch(ctx, from, msg, fx);
     }
 
@@ -796,6 +796,7 @@ pub fn intervals_cover(interval: KeyInterval, pieces: &[KeyInterval]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pepper_net::Effects;
     use pepper_types::SearchKey;
 
     fn handle(
@@ -803,7 +804,7 @@ mod tests {
         ctx: LayerCtx,
         from: PeerId,
         msg: DsMsg,
-        fx: &mut Effects<DsMsg>,
+        fx: &mut dyn Emit<DsMsg>,
     ) -> Vec<DsEvent> {
         ProtocolLayer::handle(ds, ctx, from, msg, fx);
         ds.drain_events()

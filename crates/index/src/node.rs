@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use pepper_datastore::{DataStoreState, DsConfig, DsEvent, DsMsg, DsStatus, QueryId};
-use pepper_net::{Context, Effects, LayerCtx, LayerSlot, Node, SimTime};
+use pepper_net::{Context, Effects, Emit, LayerCtx, LayerSlot, Node, SimTime};
 use pepper_replication::{ReplEvent, ReplicaConfig, ReplicationManager};
 use pepper_ring::{EntryState, RingConfig, RingEvent, RingState};
 use pepper_router::{HierarchicalRouter, RouterConfig};

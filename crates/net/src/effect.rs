@@ -1,12 +1,14 @@
 //! Effects emitted by protocol state machines.
 //!
 //! Every protocol layer in this workspace is written as a state machine whose
-//! handlers never touch the network directly: they push [`Effect`]s into an
-//! [`Effects`] buffer. The composed peer maps each layer's effects into its
-//! own unified message type (see [`Effects::absorb`]), straight into the
-//! simulator's reused buffer (see
-//! [`Context::effects`](crate::sim::Context::effects)). This keeps every
-//! protocol unit-testable in isolation.
+//! handlers never touch the network directly: they request sends and timers
+//! through an [`Emit`] sink. Unit tests hand a layer an owned [`Effects`]
+//! buffer; the composed peer hands it a sink that wraps each message into the
+//! peer's unified message type and writes it straight into the simulator's
+//! reused buffer (see [`LayerSlot::with`](crate::layer::LayerSlot::with) and
+//! [`Context::effects`](crate::sim::Context::effects)), so every effect is
+//! written exactly once. This keeps every protocol unit-testable in
+//! isolation.
 
 use std::time::Duration;
 
@@ -49,14 +51,15 @@ pub enum Effect<M> {
     },
 }
 
-impl<M> Effect<M> {
-    /// Maps the message type of the effect.
-    pub fn map<N>(self, f: &mut impl FnMut(M) -> N) -> Effect<N> {
-        match self {
-            Effect::Send { to, msg } => Effect::Send { to, msg: f(msg) },
-            Effect::Timer { delay, msg } => Effect::Timer { delay, msg: f(msg) },
-        }
-    }
+/// Where a protocol handler sends its effects: sends and timers in the
+/// handler's own message type, recorded in emission order.
+pub trait Emit<M> {
+    /// Requests that `msg` be sent to `to`.
+    fn send(&mut self, to: PeerId, msg: M);
+
+    /// Requests a timer: `msg` is delivered to the emitting peer after
+    /// `delay`.
+    fn timer(&mut self, delay: Duration, msg: M);
 }
 
 /// An ordered buffer of effects produced by one handler invocation.
@@ -79,17 +82,6 @@ impl<M> Effects<M> {
         Self::default()
     }
 
-    /// Requests that `msg` be sent to `to`.
-    pub fn send(&mut self, to: PeerId, msg: M) {
-        self.effects.push(Effect::Send { to, msg });
-    }
-
-    /// Requests a timer: `msg` is delivered to the emitting peer after
-    /// `delay`.
-    pub fn timer(&mut self, delay: Duration, msg: M) {
-        self.effects.push(Effect::Timer { delay, msg });
-    }
-
     /// Number of buffered effects.
     pub fn len(&self) -> usize {
         self.effects.len()
@@ -110,13 +102,6 @@ impl<M> Effects<M> {
         self.effects.iter()
     }
 
-    /// Moves all effects from `other` (after mapping) to the end of `self`,
-    /// leaving `other` empty with its capacity intact for reuse.
-    pub fn absorb<N>(&mut self, other: &mut Effects<N>, mut f: impl FnMut(N) -> M) {
-        self.effects
-            .extend(other.effects.drain(..).map(|e| e.map(&mut f)));
-    }
-
     /// Wraps a raw effect vector (the simulator's scratch buffer).
     pub(crate) fn from_vec(effects: Vec<Effect<M>>) -> Self {
         Effects { effects }
@@ -128,11 +113,13 @@ impl<M> Effects<M> {
     }
 }
 
-impl<M> IntoIterator for Effects<M> {
-    type Item = Effect<M>;
-    type IntoIter = std::vec::IntoIter<Effect<M>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.effects.into_iter()
+impl<M> Emit<M> for Effects<M> {
+    fn send(&mut self, to: PeerId, msg: M) {
+        self.effects.push(Effect::Send { to, msg });
+    }
+
+    fn timer(&mut self, delay: Duration, msg: M) {
+        self.effects.push(Effect::Timer { delay, msg });
     }
 }
 
@@ -144,11 +131,6 @@ mod tests {
     enum Low {
         Ping,
         Pong,
-    }
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum High {
-        Low(Low),
     }
 
     #[test]
@@ -173,20 +155,29 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_layer_effects() {
-        let mut low: Effects<Low> = Effects::new();
-        low.send(PeerId(3), Low::Pong);
-        let mut high: Effects<High> = Effects::new();
-        high.absorb(&mut low, High::Low);
+    fn effects_record_sends_and_timers_through_dyn_emit_in_order() {
+        let mut fx: Effects<Low> = Effects::new();
+        let sink: &mut dyn Emit<Low> = &mut fx;
+        sink.timer(Duration::from_millis(5), Low::Pong);
+        sink.send(PeerId(3), Low::Ping);
+        sink.timer(Duration::from_millis(1), Low::Ping);
         assert_eq!(
-            high.drain(),
-            vec![Effect::Send {
-                to: PeerId(3),
-                msg: High::Low(Low::Pong)
-            }]
+            fx.drain(),
+            vec![
+                Effect::Timer {
+                    delay: Duration::from_millis(5),
+                    msg: Low::Pong
+                },
+                Effect::Send {
+                    to: PeerId(3),
+                    msg: Low::Ping
+                },
+                Effect::Timer {
+                    delay: Duration::from_millis(1),
+                    msg: Low::Ping
+                },
+            ]
         );
-        // The source is drained, not consumed: it can be refilled.
-        assert!(low.is_empty());
     }
 
     #[test]

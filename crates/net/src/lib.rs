@@ -9,8 +9,8 @@
 //! taken in virtual time.
 //!
 //! The protocol crates (`pepper-ring`, `pepper-datastore`, …) are written as
-//! *pure state machines* that emit [`Effect`]s (sends and timers) into an
-//! [`Effects`] buffer; the composed peer (`pepper-index::PeerNode`) maps those
+//! *pure state machines* that emit [`Effect`]s (sends and timers) through an
+//! [`Emit`] sink; the composed peer (`pepper-index::PeerNode`) wraps those
 //! effects into its own message type and hands them to the simulator. This
 //! keeps each protocol unit-testable without any networking at all, while the
 //! simulator reproduces the cross-peer interleavings (stale successor lists,
@@ -30,7 +30,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use effect::{Effect, Effects, LayerCtx};
+pub use effect::{Effect, Effects, Emit, LayerCtx};
 pub use failure::FailureSchedule;
 pub use latency::{ExecConfig, LatencyModel, NetworkConfig, ShardLayout};
 pub use layer::{LayerSlot, ProtocolLayer};

@@ -57,7 +57,7 @@ use pepper_types::PeerId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::effect::{Effect, Effects, LayerCtx};
+use crate::effect::{Effect, Effects, Emit, LayerCtx};
 use crate::intern::{PeerTable, DENSE_NONE};
 use crate::latency::{LatencyModel, NetworkConfig, ShardLayout};
 use crate::stats::{EngineProfile, NetStats};
@@ -109,13 +109,14 @@ enum Payload<M> {
 /// the handler returns. The backing buffer is a scratch vector owned by the
 /// simulator and reused across deliveries, so the simulator itself allocates
 /// nothing per event once the buffer has warmed up. A composed peer hands
-/// that same buffer ([`Context::effects`]) to its layer slots, each of which
-/// drains its own retained buffer into it (`LayerSlot::with`), so no effect
-/// `Vec` is built per dispatch either. On a settled 64-member ring this
-/// brought the whole event path from about 2.0 heap allocations per event
-/// (a fresh buffer per dispatch and per layer, re-collected twice, plus a
-/// copy of the owner's items per replica push) down to about 0.12
-/// (`tests/alloc_per_event.rs` pins the bound).
+/// that same buffer ([`Context::effects`]) to its layer slots, whose layers
+/// emit through a sink that wraps each message and writes it straight into
+/// this buffer (`LayerSlot::with`): no effect `Vec` is built per dispatch
+/// and no effect is copied between buffers. On a settled 64-member ring the
+/// event path makes about 0.12 heap allocations per event
+/// (`tests/alloc_per_event.rs` pins the bound), down from about 2.0 when
+/// every dispatch and every layer built a fresh buffer and each replica push
+/// copied the owner's items.
 pub struct Context<'a, M> {
     self_id: PeerId,
     now: SimTime,

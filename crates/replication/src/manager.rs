@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pepper_net::{Effects, LayerCtx, ProtocolLayer};
+use pepper_net::{Emit, LayerCtx, ProtocolLayer};
 use pepper_types::{CircularRange, Item, KeyInterval, PeerId, SystemConfig};
 
 use crate::events::ReplEvent;
@@ -120,7 +120,7 @@ impl ReplicationManager {
         _ctx: LayerCtx,
         own_items: &Arc<BTreeMap<u64, Item>>,
         successors: &[PeerId],
-        fx: &mut Effects<ReplMsg>,
+        fx: &mut dyn Emit<ReplMsg>,
     ) {
         if own_items.is_empty() {
             return;
@@ -153,7 +153,7 @@ impl ReplicationManager {
         _ctx: LayerCtx,
         own_items: &Arc<BTreeMap<u64, Item>>,
         successors: &[PeerId],
-        fx: &mut Effects<ReplMsg>,
+        fx: &mut dyn Emit<ReplMsg>,
     ) -> bool {
         if !self.cfg.extra_hop_enabled {
             return false;
@@ -257,7 +257,7 @@ impl ProtocolLayer for ReplicationManager {
     type Event = ReplEvent;
 
     /// Schedules the periodic refresh timer. Idempotent.
-    fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<ReplMsg>) {
+    fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut dyn Emit<ReplMsg>) {
         if self.timers_started {
             return;
         }
@@ -269,7 +269,7 @@ impl ProtocolLayer for ReplicationManager {
     /// Handles a replication message. The refresh round itself is performed
     /// by the composed peer in response to [`ReplEvent::RefreshDue`], because
     /// it needs the Data Store's items and the ring's successor list.
-    fn handle(&mut self, _ctx: LayerCtx, from: PeerId, msg: ReplMsg, fx: &mut Effects<ReplMsg>) {
+    fn handle(&mut self, _ctx: LayerCtx, from: PeerId, msg: ReplMsg, fx: &mut dyn Emit<ReplMsg>) {
         match msg {
             ReplMsg::RefreshTick => {
                 fx.timer(self.cfg.refresh_period, ReplMsg::RefreshTick);
@@ -322,7 +322,7 @@ impl ProtocolLayer for ReplicationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pepper_net::{Effect, SimTime};
+    use pepper_net::{Effect, Effects, SimTime};
     use pepper_types::{ProtocolConfig, SearchKey};
 
     /// Drives one message through the layer the way the composed peer does:
@@ -334,7 +334,7 @@ mod tests {
         msg: ReplMsg,
         own_items: &Arc<BTreeMap<u64, Item>>,
         successors: &[PeerId],
-        fx: &mut Effects<ReplMsg>,
+        fx: &mut dyn Emit<ReplMsg>,
     ) -> bool {
         ProtocolLayer::handle(rm, ctx, from, msg, fx);
         let mut refreshed = false;

@@ -9,7 +9,7 @@
 //! list right away — which is exactly what allows the inconsistent-ring
 //! scenario of Section 4.2.1.
 
-use pepper_net::{Effects, LayerCtx, SimTime};
+use pepper_net::{Emit, LayerCtx, SimTime};
 use pepper_types::{Error, PeerId, PeerValue, Result};
 
 use crate::entry::{EntryState, RingPhase, SuccEntry};
@@ -30,7 +30,7 @@ impl RingState {
         ctx: LayerCtx,
         new_peer: PeerId,
         new_value: PeerValue,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) -> Result<()> {
         if self.phase != RingPhase::Joined {
             self.emit(RingEvent::InsertSuccAborted { new_peer });
@@ -109,7 +109,7 @@ impl RingState {
         &mut self,
         _ctx: LayerCtx,
         joining: PeerId,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) {
         if self.phase != RingPhase::Inserting {
             return;
@@ -161,7 +161,7 @@ impl RingState {
         pred: PeerId,
         pred_value: PeerValue,
         your_value: PeerValue,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) {
         if self.phase != RingPhase::Free && self.phase != RingPhase::Joining {
             return;
@@ -235,7 +235,7 @@ impl RingState {
 mod tests {
     use super::*;
     use crate::config::RingConfig;
-    use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_net::{Effect, Effects, ProtocolLayer, SimTime};
     use std::time::Duration;
 
     fn ctx_at(id: u64, secs: u64) -> LayerCtx {

@@ -10,7 +10,7 @@
 //! The naive baseline simply departs immediately, which is what allows a
 //! single subsequent failure to disconnect the ring (Figure 14).
 
-use pepper_net::{Effects, LayerCtx};
+use pepper_net::{Emit, LayerCtx};
 use pepper_types::{Error, Result};
 
 use crate::entry::RingPhase;
@@ -24,7 +24,7 @@ impl RingState {
     /// With the PEPPER protocol [`RingEvent::LeaveComplete`] is emitted once
     /// the leave ack arrives; with the naive protocol it is emitted
     /// immediately and the peer departs on the spot.
-    pub fn leave(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) -> Result<()> {
+    pub fn leave(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<RingMsg>) -> Result<()> {
         if self.phase != RingPhase::Joined {
             return Err(Error::NotJoined(self.id));
         }
@@ -80,7 +80,7 @@ mod tests {
     use super::*;
     use crate::config::RingConfig;
     use crate::entry::SuccEntry;
-    use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_net::{Effect, Effects, ProtocolLayer, SimTime};
     use pepper_types::{PeerId, PeerValue};
     use std::time::Duration;
 

@@ -24,8 +24,9 @@
 //!   naive `leave` (the peer departs without telling anyone).
 //!
 //! The ring is written as a pure state machine ([`RingState`]): handlers
-//! consume messages and emit [`Effects`](pepper_net::Effects) plus
-//! [`RingEvent`]s for the layers above (Data Store, Replication Manager).
+//! consume messages, emit sends and timers through an
+//! [`Emit`](pepper_net::Emit) sink, and report [`RingEvent`]s to the layers
+//! above (Data Store, Replication Manager).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

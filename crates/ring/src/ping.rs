@@ -8,7 +8,7 @@
 //! post-merge) reply with `member = false`, which removes them promptly
 //! without waiting for a timeout.
 
-use pepper_net::{Effects, LayerCtx};
+use pepper_net::{Emit, LayerCtx};
 use pepper_types::PeerId;
 
 use crate::entry::{EntryState, RingPhase};
@@ -18,7 +18,7 @@ use crate::state::RingState;
 
 impl RingState {
     /// Periodic ping tick: re-arm and probe.
-    pub(crate) fn on_ping_tick(&mut self, _ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+    pub(crate) fn on_ping_tick(&mut self, _ctx: LayerCtx, fx: &mut dyn Emit<RingMsg>) {
         fx.timer(self.cfg.ping_period, RingMsg::PingTick);
         if !self.is_member() {
             return;
@@ -50,7 +50,7 @@ impl RingState {
         }
     }
 
-    fn send_ping(&mut self, target: PeerId, fx: &mut Effects<RingMsg>) {
+    fn send_ping(&mut self, target: PeerId, fx: &mut dyn Emit<RingMsg>) {
         self.ping_seq += 1;
         let seq = self.ping_seq;
         fx.send(target, RingMsg::Ping { seq });
@@ -63,7 +63,7 @@ impl RingState {
         _ctx: LayerCtx,
         from: PeerId,
         seq: u64,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) {
         fx.send(
             from,
@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use crate::config::RingConfig;
     use crate::entry::SuccEntry;
-    use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_net::{Effect, Effects, ProtocolLayer, SimTime};
     use pepper_types::PeerValue;
 
     fn ctx(id: u64) -> LayerCtx {

@@ -17,7 +17,7 @@
 //!   of round-trips instead of waiting for the periodic stabilization timer
 //!   (the optimization described in Sections 4.3.1 and 6.3.1).
 
-use pepper_net::{Effects, LayerCtx};
+use pepper_net::{Emit, LayerCtx};
 use pepper_types::{PeerId, PeerValue};
 
 use crate::entry::{EntryState, RingPhase, SuccEntry};
@@ -26,14 +26,14 @@ use crate::state::RingState;
 
 impl RingState {
     /// Periodic stabilization tick: re-arms the timer and runs one round.
-    pub(crate) fn on_stabilize_tick(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+    pub(crate) fn on_stabilize_tick(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<RingMsg>) {
         fx.timer(self.cfg.stabilization_period, RingMsg::StabilizeTick);
         self.run_stabilization(ctx, fx);
     }
 
     /// Proactive stabilization request from a successor that has an
     /// in-flight `insertSucc` / `leave`.
-    pub(crate) fn on_stabilize_now(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+    pub(crate) fn on_stabilize_now(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<RingMsg>) {
         self.run_stabilization(ctx, fx);
     }
 
@@ -62,7 +62,7 @@ impl RingState {
     }
 
     /// Sends a stabilization request to the first eligible successor.
-    pub(crate) fn run_stabilization(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+    pub(crate) fn run_stabilization(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<RingMsg>) {
         if !self.is_member() {
             return;
         }
@@ -109,7 +109,7 @@ impl RingState {
         _ctx: LayerCtx,
         from: PeerId,
         from_value: PeerValue,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) {
         // JOINING and FREE peers do not answer stabilization requests.
         if !self.is_member() {
@@ -138,7 +138,7 @@ impl RingState {
         responder_state: EntryState,
         responder_value: PeerValue,
         responder_pred: Option<(PeerId, PeerValue)>,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) {
         if !self.is_member() {
             return;
@@ -284,7 +284,7 @@ impl RingState {
         &mut self,
         ctx: LayerCtx,
         joining: PeerId,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) {
         self.on_join_ack(ctx, joining, fx);
     }
@@ -295,7 +295,7 @@ mod tests {
     use super::*;
     use crate::config::RingConfig;
     use crate::events::RingEvent;
-    use pepper_net::{Effect, ProtocolLayer, SimTime};
+    use pepper_net::{Effect, Effects, ProtocolLayer, SimTime};
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use pepper_net::{Effects, LayerCtx, ProtocolLayer, SimTime};
+use pepper_net::{Emit, LayerCtx, ProtocolLayer, SimTime};
 use pepper_types::{in_open, PeerId, PeerValue};
 
 use crate::config::RingConfig;
@@ -229,7 +229,7 @@ impl RingState {
     /// Schedules the periodic stabilization and ping timers. Idempotent.
     /// Timers are staggered by a small per-peer offset so that peers do not
     /// stabilize in lockstep.
-    pub fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+    pub fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut dyn Emit<RingMsg>) {
         if self.timers_started {
             return;
         }
@@ -370,11 +370,11 @@ impl ProtocolLayer for RingState {
     type Msg = RingMsg;
     type Event = RingEvent;
 
-    fn start_timers(&mut self, ctx: LayerCtx, fx: &mut Effects<RingMsg>) {
+    fn start_timers(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<RingMsg>) {
         RingState::start_timers(self, ctx, fx);
     }
 
-    fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: RingMsg, fx: &mut Effects<RingMsg>) {
+    fn handle(&mut self, ctx: LayerCtx, from: PeerId, msg: RingMsg, fx: &mut dyn Emit<RingMsg>) {
         self.handle_inner(ctx, from, msg, fx);
     }
 
@@ -389,7 +389,7 @@ impl RingState {
         ctx: LayerCtx,
         from: PeerId,
         msg: RingMsg,
-        fx: &mut Effects<RingMsg>,
+        fx: &mut dyn Emit<RingMsg>,
     ) {
         match msg {
             RingMsg::StabilizeTick => self.on_stabilize_tick(ctx, fx),
@@ -438,6 +438,7 @@ impl RingState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pepper_net::Effects;
 
     fn joined(peer: u64, value: u64) -> SuccEntry {
         SuccEntry::joined_stab(PeerId(peer), PeerValue(value))

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use pepper_net::{Effects, LayerCtx, ProtocolLayer};
+use pepper_net::{Emit, LayerCtx, ProtocolLayer};
 use pepper_types::range::in_open;
 use pepper_types::{PeerId, PeerValue, SystemConfig};
 
@@ -112,7 +112,7 @@ impl HierarchicalRouter {
 
     /// One maintenance round: level `i` is refreshed by asking the level
     /// `i-1` target for *its* level `i-1` shortcut (doubling the distance).
-    fn run_maintenance(&mut self, fx: &mut Effects<RouterMsg>) {
+    fn run_maintenance(&mut self, fx: &mut dyn Emit<RouterMsg>) {
         for slot in 1..self.entries.len() {
             if let Some((peer, _)) = self.entries[slot - 1] {
                 if peer != self.id {
@@ -161,7 +161,7 @@ impl ProtocolLayer for HierarchicalRouter {
     type Event = RouterEvent;
 
     /// Schedules the periodic maintenance timer. Idempotent.
-    fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<RouterMsg>) {
+    fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut dyn Emit<RouterMsg>) {
         if self.timers_started {
             return;
         }
@@ -179,7 +179,7 @@ impl ProtocolLayer for HierarchicalRouter {
         _ctx: LayerCtx,
         from: PeerId,
         msg: RouterMsg,
-        fx: &mut Effects<RouterMsg>,
+        fx: &mut dyn Emit<RouterMsg>,
     ) {
         match msg {
             RouterMsg::MaintainTick => {
@@ -207,7 +207,7 @@ impl ProtocolLayer for HierarchicalRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pepper_net::{Effect, SimTime};
+    use pepper_net::{Effect, Effects, SimTime};
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))

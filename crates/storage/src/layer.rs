@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use pepper_net::{Effects, LayerCtx, ProtocolLayer};
+use pepper_net::{Emit, LayerCtx, ProtocolLayer};
 use pepper_types::PeerId;
 
 /// Storage-layer messages (timers only; the layer has no wire traffic).
@@ -78,7 +78,7 @@ impl ProtocolLayer for StorageLayer {
 
     /// Schedules the periodic snapshot timer. Idempotent; staggered per
     /// peer so a cluster does not snapshot in lockstep.
-    fn start_timers(&mut self, ctx: LayerCtx, fx: &mut Effects<StorageMsg>) {
+    fn start_timers(&mut self, ctx: LayerCtx, fx: &mut dyn Emit<StorageMsg>) {
         if self.timers_started {
             return;
         }
@@ -92,7 +92,7 @@ impl ProtocolLayer for StorageLayer {
         _ctx: LayerCtx,
         _from: PeerId,
         msg: StorageMsg,
-        fx: &mut Effects<StorageMsg>,
+        fx: &mut dyn Emit<StorageMsg>,
     ) {
         match msg {
             StorageMsg::SnapshotTick => {
@@ -110,7 +110,7 @@ impl ProtocolLayer for StorageLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pepper_net::{Effect, SimTime};
+    use pepper_net::{Effect, Effects, SimTime};
 
     fn ctx(id: u64) -> LayerCtx {
         LayerCtx::new(PeerId(id), SimTime::from_secs(1))

@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use pepper_net::{
-    Context, Effects, LayerCtx, LayerSlot, NetworkConfig, Node, ProtocolLayer, SimTime, Simulator,
+    Context, Emit, LayerCtx, LayerSlot, NetworkConfig, Node, ProtocolLayer, SimTime, Simulator,
 };
 use pepper_sim::{Cluster, ClusterConfig};
 use pepper_types::PeerId;
@@ -54,14 +54,14 @@ impl ProtocolLayer for TickLayer {
     type Msg = TickMsg;
     type Event = NoEvent;
 
-    fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut Effects<TickMsg>) {
+    fn start_timers(&mut self, _ctx: LayerCtx, fx: &mut dyn Emit<TickMsg>) {
         if !self.started {
             self.started = true;
             fx.timer(self.period, TickMsg::Tick);
         }
     }
 
-    fn handle(&mut self, _ctx: LayerCtx, _from: PeerId, msg: TickMsg, fx: &mut Effects<TickMsg>) {
+    fn handle(&mut self, _ctx: LayerCtx, _from: PeerId, msg: TickMsg, fx: &mut dyn Emit<TickMsg>) {
         match msg {
             TickMsg::Tick => fx.timer(self.period, TickMsg::Tick),
         }
